@@ -136,6 +136,42 @@ def test_replay_jacobi240(perf):
     assert speedup > 1.0
 
 
+def test_replay_jacobi240_incremental(perf):
+    """The paper-mode headline: the same n=240 system under the
+    incremental strategy, which spends most iterations in LOA modes.
+    There the replayed matvec runs product -> encode -> closed-form
+    tree reduce (``KernelBackend.reduce_tree``) in step-owned buffers
+    instead of the level-by-level adder fold the legacy engine walks.
+    Parity against the legacy engine — words, iterations and ledgers —
+    is asserted before timing."""
+    framework = _laplacian_jacobi(n=240)
+    framework.characterization()
+
+    fast_run = framework.run(strategy="incremental")
+    saved = ApproxEngine.default_fast_path
+    try:
+        ApproxEngine.default_fast_path = False
+        legacy_run = framework.run(strategy="incremental", program_capture=False)
+    finally:
+        ApproxEngine.default_fast_path = saved
+    _assert_exact_parity(fast_run, legacy_run)
+
+    t_fast, t_legacy = perf.time_pair(
+        lambda: framework.run(strategy="incremental"),
+        _legacy(framework, "incremental"),
+        repeats=5,
+    )
+    speedup = t_legacy / t_fast
+    perf.record(
+        "e2e/replay_jacobi240_incremental",
+        iterations=fast_run.iterations,
+        fast_s=round(t_fast, 4),
+        legacy_s=round(t_legacy, 4),
+        speedup=round(speedup, 2),
+    )
+    assert speedup > 1.0
+
+
 def test_replay_cg64(perf):
     """CG under the incremental strategy: an ill-conditioned system
     keeps the loop alive for tens of iterations, and the escalating

@@ -36,6 +36,7 @@ REQUIRED_ENTRIES = (
     "e2e/jacobi80_adaptive",
     "e2e/replay_jacobi80",
     "e2e/replay_jacobi240",
+    "e2e/replay_jacobi240_incremental",
     "e2e/replay_cg64",
     "e2e/replay_lsq120",
     "sparse/jacobi240_vs_dense",
@@ -65,10 +66,16 @@ REQUIRED_ENTRIES = (
 #: the datapath iteration itself, since both sides share the exact
 #: control loop by the parity contract.  The jacobi240 sparse/dense
 #: pair promises that routing the same system through CSR instead of
-#: the dense resident path is a strict win, not a wash.
+#: the dense resident path is a strict win, not a wash.  The incremental
+#: jacobi240 floor is the closed-form reduce promise: the paper-mode
+#: solve, mostly in LOA modes, must hold >= 3x over the legacy engine on
+#: the NumPy reference (ten consecutive runs on a 2-CPU x86-64 box
+#: measured 3.65x-4.54x); other backends keep the generic floor until
+#: a lane of theirs has measured it.
 ENTRY_FLOORS = {
     "e2e/replay_jacobi80": 2.0,
     "e2e/replay_jacobi240": {"numpy": 5.0, "*": 5.0},
+    "e2e/replay_jacobi240_incremental": {"numpy": 3.0},
     "batched/replay_jacobi_b64": 7.0,
     "batched/replay_gs_rb32": 4.0,
     "batched/replay_gmm_b16": 1.6,

@@ -550,18 +550,101 @@ class ReductionPlan:
         levels: :func:`repro.hardware.bitops.reduction_levels` output.
         buf: preallocated tail-carry buffer sized for the first (widest)
             odd level, or ``None`` when no level is odd.
+        scratch: full-shape ``int64`` buffer lent to the closed-form
+            :meth:`~repro.backends.base.KernelBackend.reduce_tree`,
+            allocated on first use (see :meth:`scratch_like`).
     """
 
-    __slots__ = ("levels", "buf")
+    __slots__ = ("levels", "buf", "scratch")
 
     def __init__(self, shape: tuple[int, ...]):
         self.levels = bitops.reduction_levels(shape[0])
         self.buf = None
+        self.scratch = None
         for half, odd in self.levels:
             if odd:
                 # Widest odd level comes first (sizes only shrink).
                 self.buf = np.empty((half + 1,) + shape[1:], dtype=np.int64)
                 break
+
+    def scratch_like(self, q: np.ndarray) -> np.ndarray:
+        """The plan's scratch buffer laid out like ``q`` (reallocated
+        only when the memory layout changes, e.g. a transposed view)."""
+        buf = self.scratch
+        if buf is None or buf.strides != q.strides:
+            buf = self.scratch = np.empty_like(q)
+        return buf
+
+
+#: Fallback reasons of :func:`closed_reduce`, in the order they are
+#: checked; each is counted as ``closed_reduce_fallbacks_<reason>``.
+CLOSED_REDUCE_FALLBACKS = ("family", "sat_recorded", "headroom", "proof")
+
+
+def closed_reduce(engine, q, plan, sat_recorded=False, bound=None):
+    """Closed-form tree reduce of axis 0 when provably bit-identical.
+
+    Returns the reduced words, or ``None`` (with the reason counted on
+    ``engine.closed_reduce_stats``) when the caller must walk the
+    level-by-level fold instead.  Exact adders return ``None``
+    uncounted: their fused route is ``reduce_inrange``.  The checks:
+
+    * ``family`` — the backend has no closed form for the adder type
+      (only plain LOA and truncation adders do);
+    * ``sat_recorded`` — the replayed step recorded a saturating add;
+    * ``headroom`` — ``n << (width - k)`` must stay below ``2**63`` so
+      the shifted sums cannot leave ``int64``;
+    * ``proof`` — a saturating format clamps any add whose true sum
+      leaves ``[lo, hi]``, which the wrap-semantics closed form cannot
+      express.  Every LOA or truncation add errs by less than
+      ``2**(k+1)`` in magnitude, so a node over ``m`` leaves holds at
+      most ``m * M + (m - 1) * 2**(k+1)`` in magnitude, with ``M``
+      bounding ``|leaf|``; ``n * (M + 2**(k+1)) <= hi`` and ``-n * (M +
+      2**(k+1)) >= lo`` therefore prove no add ever clamps.  ``bound``
+      supplies ``M`` when the caller already holds one (the replayed
+      matvec's ``abs_max * max|vec| * scale``); otherwise, or when that
+      bound is too loose, one min/max scan of ``q`` provides it.
+    """
+    adder = engine.mode.adder
+    if adder.is_exact:
+        return None
+    stats = engine.closed_reduce_stats
+    n = q.shape[0]
+    if not engine.backend.has_closed_reduce(adder):
+        reason = "family"
+    elif sat_recorded:
+        reason = "sat_recorded"
+    elif (n << (adder.width - adder.approx_bits)) >= 1 << 63:
+        reason = "headroom"
+    else:
+        k = adder.approx_bits
+        reason = None
+        if engine.fmt.overflow == "saturate" and q.size:
+            hi, lo = engine._signed_hi, engine._signed_lo
+            slack = 2 << k
+            if n * slack > hi:
+                # The error slack alone exceeds the range: no bound on
+                # the leaves can prove it, so skip the scan.
+                reason = "proof"
+            else:
+                if bound is None or n * (bound + slack) > hi:
+                    # A caller's bound may be loose; the scan is exact.
+                    bound = max(-int(q.min()), int(q.max()))
+                reach = n * (bound + slack)
+                if reach > hi or -reach < lo:
+                    reason = "proof"
+        if reason is None:
+            stats["closed_reduces"] += 1
+            return engine.backend.reduce_tree(adder, q, plan)
+    stats["closed_reduce_fallbacks_" + reason] += 1
+    return None
+
+
+def _closed_reduce_stats() -> dict[str, int]:
+    stats = {"closed_reduces": 0}
+    for reason in CLOSED_REDUCE_FALLBACKS:
+        stats["closed_reduce_fallbacks_" + reason] = 0
+    return stats
 
 
 class ApproxEngine:
@@ -629,6 +712,7 @@ class ApproxEngine:
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
         self.mul_overflow_skips = 0
+        self.closed_reduce_stats = _closed_reduce_stats()
 
     # ------------------------------------------------------------------
     # Pinned (cached) constant operands
@@ -714,6 +798,7 @@ class ApproxEngine:
             "pinned_operands": len(self._pinned) + len(self._pinned_matrices),
             "reduce_plans": len(self._reduce_plans),
             "mul_overflow_skips": self.mul_overflow_skips,
+            **self.closed_reduce_stats,
         }
 
     # ------------------------------------------------------------------
@@ -824,12 +909,15 @@ class ApproxEngine:
     def _reduce_words(self, q: np.ndarray) -> np.ndarray:
         """Balanced-tree reduction of axis 0 down to a single slice.
 
-        The fast path folds the tree inside one preallocated buffer (no
-        per-level ``np.concatenate``); the legacy layout is kept in
-        :meth:`_reduce_words_concat`.  Both walk the *same* tree — the
-        identical sequence of :meth:`_add_words` calls in the identical
-        order — so results and the exact ``n - 1`` adds-per-lane energy
-        accounting are unchanged.
+        The fast path first tries the closed form (:func:`closed_reduce`),
+        charging the ledger level by level exactly as the fold would;
+        otherwise it folds the tree inside one preallocated buffer (no
+        per-level ``np.concatenate``).  The legacy layout is kept in
+        :meth:`_reduce_words_concat`.  Every route computes the *same*
+        tree — the fold issues the identical sequence of
+        :meth:`_add_words` calls in the identical order — so results and
+        the exact ``n - 1`` adds-per-lane energy accounting are
+        unchanged.
         """
         if not self.fast_path:
             return self._reduce_words_concat(q)
@@ -844,6 +932,13 @@ class ApproxEngine:
             self.plan_cache_misses += 1
         else:
             self.plan_cache_hits += 1
+        closed = closed_reduce(self, cur, plan)
+        if closed is not None:
+            per_slice = cur.size // shape[0]
+            mode = self.mode
+            for half, _odd in plan.levels:
+                self._charge(mode.name, half * per_slice, mode.energy_per_add)
+            return closed
         saturating = self.fmt.overflow == "saturate"
         # One min/max over the level bounds both operand halves for the
         # saturation precheck; carried forward level to level.
@@ -1480,6 +1575,7 @@ class BatchedEngine:
         self.encode_cache_misses = 0
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
+        self.closed_reduce_stats = _closed_reduce_stats()
 
     # ------------------------------------------------------------------
     # Lane selection and pinned operands
@@ -1546,6 +1642,7 @@ class BatchedEngine:
             "plan_cache_misses": self.plan_cache_misses,
             "pinned_operands": len(self._pinned) + len(self._pinned_matrices),
             "reduce_plans": len(self._reduce_plans),
+            **self.closed_reduce_stats,
         }
 
     # ------------------------------------------------------------------
@@ -1618,8 +1715,7 @@ class BatchedEngine:
         the saturating output stage are elementwise, so each lane's
         slice is bit-identical to a solo add; the charge fans out as
         ``size // lanes`` adds to every selected lane."""
-        if self.lane_ids is None:
-            raise RuntimeError("call select_lanes() before issuing kernels")
+        self._check_lanes(qa.shape[lane_axis])
         out = self.backend.add_signed(self.mode.adder, qa, qb)
         if self.fmt.overflow == "saturate" and self._saturation_needed(
             qa, qb, bounds_a, bounds_b, lane_axis
@@ -1629,17 +1725,21 @@ class BatchedEngine:
             overflowed = (true < lo) | (true > hi)
             if np.any(overflowed):
                 out = np.where(overflowed, np.clip(true, lo, hi), out)
-        lanes = qa.shape[lane_axis]
+        n_per_lane = int(qa.size) // qa.shape[lane_axis]
+        self._charge_lanes(
+            self.mode.name, n_per_lane, self.mode.energy_per_add
+        )
+        return out
+
+    def _check_lanes(self, lanes: int) -> None:
+        """Require selected lanes matching an operand's lane count."""
+        if self.lane_ids is None:
+            raise RuntimeError("call select_lanes() before issuing kernels")
         if lanes != self.lane_ids.shape[0]:
             raise ValueError(
                 f"operand has {lanes} lanes but {self.lane_ids.shape[0]} "
                 "are selected"
             )
-        n_per_lane = int(qa.size) // lanes
-        self._charge_lanes(
-            self.mode.name, n_per_lane, self.mode.energy_per_add
-        )
-        return out
 
     def _charge_lanes(
         self, mode_name: str, adds_per_lane: int, energy_per_add: float
@@ -1657,7 +1757,9 @@ class BatchedEngine:
         Walks the identical tree as :meth:`ApproxEngine._reduce_words`
         (the level splits depend only on ``n``), with the incremental
         saturation bounds kept per lane — exact adders propagate
-        interval arithmetic elementwise, approximate adders rescan.
+        interval arithmetic elementwise, approximate adders rescan.  The
+        fast path tries the closed form first; its proof is global over
+        the slab, so one lane failing it sends every lane down the fold.
         """
         cur = np.asarray(q, dtype=np.int64)
         shape = cur.shape
@@ -1670,6 +1772,17 @@ class BatchedEngine:
             self.plan_cache_misses += 1
         else:
             self.plan_cache_hits += 1
+        if self.fast_path:
+            closed = closed_reduce(self, cur, plan)
+            if closed is not None:
+                self._check_lanes(shape[1])
+                per_lane = int(np.prod(shape[2:], dtype=np.int64))
+                mode = self.mode
+                for half, _odd in plan.levels:
+                    self._charge_lanes(
+                        mode.name, half * per_lane, mode.energy_per_add
+                    )
+                return closed
         saturating = self.fmt.overflow == "saturate"
         bounds = None
         if saturating and cur.size and self.fast_path:

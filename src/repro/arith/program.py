@@ -63,6 +63,7 @@ from repro.arith.engine import (
     ResidentMatrix,
     ResidentVector,
     SparseResidentMatrix,
+    closed_reduce,
 )
 
 _IDLE = "idle"
@@ -321,19 +322,25 @@ def _replay_add_words(engine, qa, qb, bounds_a, bounds_b, sat_recorded):
     return engine.backend.add_signed(engine.mode.adder, qa, qb)
 
 
-def _replay_reduce(engine, q, plan, sat_recorded):
+def _replay_reduce(engine, q, plan, sat_recorded, bound=None):
     """Tree-reduce axis 0, bit-identical to ``_reduce_words`` sans
     charges and plan lookups.
 
-    Fast route: exact adder, saturating format, no saturation recorded,
-    and one O(1) proof that *every* partial sum stays in the word —
-    each intermediate is a sum of at most ``n`` of the inputs, so
-    ``n * min(min_word, 0) >= lo`` and ``n * max(max_word, 0) <= hi``
-    bound them all — fuses the whole tree into a single
-    ``np.add.reduce``: in-range exact integer addition is associative,
-    so any summation order yields bit-identical words.  Anything else
-    walks the interpreted fold exactly (same adder calls, same
-    per-level bounds carry, same clamps).
+    Fast routes:
+
+    * exact adder, saturating format, no saturation recorded, and one
+      O(1) proof that *every* partial sum stays in the word — each
+      intermediate is a sum of at most ``n`` of the inputs, so ``n *
+      min(min_word, 0) >= lo`` and ``n * max(max_word, 0) <= hi`` bound
+      them all — fuses the whole tree into a single ``np.add.reduce``:
+      in-range exact integer addition is associative, so any summation
+      order yields bit-identical words;
+    * LOA or truncation adder: the closed form of
+      :func:`~repro.arith.engine.closed_reduce` under its own proof
+      (``bound``, when given, bounds every ``|q|``).
+
+    Anything else walks the interpreted fold exactly (same adder calls,
+    same per-level bounds carry, same clamps).
     """
     if q.shape[0] <= 1:
         return q[0]
@@ -348,6 +355,9 @@ def _replay_reduce(engine, q, plan, sat_recorded):
             return engine.backend.reduce_inrange(q)
         # Conservative proof failed; the tighter per-level walk below is
         # still interpreted-identical, just not fused.
+    closed = closed_reduce(engine, q, plan, sat_recorded, bound)
+    if closed is not None:
+        return closed
     adder = engine.mode.adder
     backend = engine.backend
     cur = q
@@ -758,6 +768,49 @@ def _fused_product_ok(engine, step, abs_max, varying, n) -> bool:
     return w <= hi and n * w <= hi and n * w < (1 << 53)
 
 
+def _encode_product_inrange(engine, step, a, b, abs_max, varying, n):
+    """Product → encode in step-owned buffers, ahead of a closed-form
+    reduce over ``n >= 2`` terms.
+
+    Returns ``(words, bound)`` — ``bound`` is ``W = rint(abs_max *
+    max|varying| * scale)``, which bounds every ``|word|`` (see
+    :func:`_fused_product_ok`) and seeds the closed form's proof — or
+    ``(None, None)`` when the adder has no closed form or ``W`` does not
+    prove the encode clip (or wrap) a no-op.  A finite ``W`` proves
+    every product finite, so the skipped finiteness scan could not have
+    raised.  The float and word buffers live in ``step.bufs`` (one pair,
+    reallocated when a lane group changes shape), so iterations stop
+    faulting in fresh product temporaries; the words are consumed by the
+    reduce before the next replay overwrites them.
+    """
+    if (
+        step.sat
+        or abs_max is None
+        or n < 2
+        or not varying.size
+        or not engine.backend.has_closed_reduce(engine.mode.adder)
+    ):
+        return None, None
+    peak = abs_max * float(np.abs(varying).max()) * engine.fmt.scale
+    if not np.isfinite(peak):
+        return None, None
+    bound = int(np.rint(peak))
+    if bound > engine._signed_hi:
+        return None, None
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    pair = step.bufs.get("closed")
+    if pair is None or pair[0].shape != shape:
+        pair = step.bufs["closed"] = (
+            np.empty(shape, dtype=np.float64),
+            np.empty(shape, dtype=np.int64),
+        )
+    fbuf, words = pair
+    np.multiply(a, b, out=fbuf)
+    fbuf *= engine.fmt.scale
+    np.rint(fbuf, out=words, casting="unsafe")
+    return words, bound
+
+
 class _MatvecStep:
     """``matvec``: exact row products, approximate row accumulation."""
 
@@ -791,9 +844,13 @@ class _MatvecStep:
                 mat, vec[np.newaxis, :], engine.fmt.scale, 1, self.bufs
             )
             return engine._emit(reduced, self.resident)
-        product = mat * vec[np.newaxis, :]
-        q = _trusted_encode(engine, product, vec, abs_max, strict)
-        reduced = _replay_reduce(engine, q.T, self.plan, self.sat)
+        q, bound = _encode_product_inrange(
+            engine, self, mat, vec[np.newaxis, :], abs_max, vec, self.cols
+        )
+        if q is None:
+            product = mat * vec[np.newaxis, :]
+            q = _trusted_encode(engine, product, vec, abs_max, strict)
+        reduced = _replay_reduce(engine, q.T, self.plan, self.sat, bound)
         return engine._emit(reduced, self.resident)
 
 
@@ -830,9 +887,13 @@ class _WeightedSumStep:
                 w[:, np.newaxis], pts, engine.fmt.scale, 0, self.bufs
             )
             return engine._emit(reduced, self.resident)
-        product = w[:, np.newaxis] * pts
-        q = _trusted_encode(engine, product, w, abs_max, strict)
-        reduced = _replay_reduce(engine, q, self.plan, self.sat)
+        q, bound = _encode_product_inrange(
+            engine, self, w[:, np.newaxis], pts, abs_max, w, self.n
+        )
+        if q is None:
+            product = w[:, np.newaxis] * pts
+            q = _trusted_encode(engine, product, w, abs_max, strict)
+        reduced = _replay_reduce(engine, q, self.plan, self.sat, bound)
         return engine._emit(reduced, self.resident)
 
 
@@ -1029,9 +1090,11 @@ def _speculate_chain(engine, executor, program, chain):
     together with the exact predicted-arg tuple the tail dispatch must
     verify by identity.  Speculation is side-effect-free with respect
     to the ledger — charges append only when the real dispatch serves
-    the memo — and aborts silently on *any* failure (bailout, raise,
-    missing source): the affected tails simply replay normally at their
-    own dispatches, where errors surface at the interpreted call site.
+    the memo — and aborts on *any* failure (bailout, raise, missing
+    source): the affected tails simply replay normally at their own
+    dispatches, where errors surface at the interpreted call site.  A
+    raised abort is counted (``speculation_aborts``) and queued as a
+    ``program_fallback`` event naming the exception type.
     """
     results = executor.results
     memo = executor.memo
@@ -1055,8 +1118,8 @@ def _speculate_chain(engine, executor, program, chain):
             args = tuple(args)
             out = program.steps[t].replay(engine, args)
             memo[t] = (args, out)
-    except Exception:
-        return
+    except Exception as exc:
+        engine._program_fallback("speculation_abort", exc)
 
 
 def _compile_add(engine, op, slots):
@@ -1230,7 +1293,47 @@ class ProgramExecutor:
         return step
 
 
-class ProgramEngine(ApproxEngine):
+class _FallbackLog:
+    """Counted, reasoned record of the failures program capture and
+    chain speculation recover from (shared by the solo and batched
+    program engines).
+
+    Each failure bumps its counter (``speculation_aborts`` /
+    ``captures_unsupported``, both in ``cache_stats()``) and queues one
+    ``{"reason", "error"}`` detail — ``error`` is the exception type —
+    that the framework's loop takes after ``end_iteration`` and emits as
+    a ``program_fallback`` trace event.  Details not taken by the next
+    ``begin_iteration`` are dropped, so the queue stays bounded.
+    """
+
+    _COUNTERS = {
+        "speculation_abort": "speculation_aborts",
+        "capture_unsupported": "captures_unsupported",
+    }
+
+    def _init_fallbacks(self) -> None:
+        self.speculation_aborts = 0
+        self.captures_unsupported = 0
+        self._fallbacks: list[dict] = []
+
+    def _program_fallback(self, reason: str, exc: BaseException) -> None:
+        counter = self._COUNTERS[reason]
+        setattr(self, counter, getattr(self, counter) + 1)
+        self._fallbacks.append({"reason": reason, "error": type(exc).__name__})
+
+    def take_fallbacks(self) -> list[dict]:
+        """The queued fallback details, oldest first (clears the queue)."""
+        taken, self._fallbacks = self._fallbacks, []
+        return taken
+
+    def _fallback_stats(self) -> dict[str, int]:
+        return {
+            "speculation_aborts": self.speculation_aborts,
+            "captures_unsupported": self.captures_unsupported,
+        }
+
+
+class ProgramEngine(_FallbackLog, ApproxEngine):
     """An :class:`ApproxEngine` with iteration-program capture/replay.
 
     Driven by :class:`~repro.core.framework.ApproxIt` through
@@ -1254,6 +1357,7 @@ class ProgramEngine(ApproxEngine):
         self.program_replays = 0
         self.program_bailouts = 0
         self._program_unsupported = False
+        self._init_fallbacks()
 
     # ------------------------------------------------------------------
     # Lifecycle (called by the framework's online loop)
@@ -1266,6 +1370,7 @@ class ProgramEngine(ApproxEngine):
         recorder, ``"off"`` when capture is unavailable (legacy engine
         or a previous compile failure).
         """
+        self._fallbacks = []
         if not self.fast_path or self._program_unsupported:
             self._pstate = _IDLE
             return "off"
@@ -1306,12 +1411,13 @@ class ProgramEngine(ApproxEngine):
             if recorder is not None:
                 try:
                     self.program = recorder.finalize(self, self._slots)
-                except Exception:
+                except Exception as exc:
                     # Structure the compiler cannot express: stay on the
                     # interpreted path for good rather than re-fail
                     # every iteration.
                     self.program = None
                     self._program_unsupported = True
+                    self._program_fallback("capture_unsupported", exc)
                 else:
                     self.program_captures += 1
                     execution = "captured"
@@ -1503,6 +1609,7 @@ class ProgramEngine(ApproxEngine):
         stats["program_replays"] = self.program_replays
         stats["program_bailouts"] = self.program_bailouts
         stats["program_cached"] = int(self.program is not None)
+        stats.update(self._fallback_stats())
         return stats
 
 
@@ -1826,11 +1933,16 @@ class _BMatvecStep:
                 self.bufs,
             )
             return engine._emit(reduced, self.resident)
-        products = mat[np.newaxis, :, :] * xs[:, np.newaxis, :]
-        q = _trusted_encode(engine, products, xs, abs_max, strict)
+        a = mat[np.newaxis, :, :]
+        b = xs[:, np.newaxis, :]
+        q, bound = _encode_product_inrange(
+            engine, self, a, b, abs_max, xs, self.cols
+        )
+        if q is None:
+            q = _trusted_encode(engine, a * b, xs, abs_max, strict)
         slab = np.moveaxis(q, 2, 0)
         plan = _get_plan(engine, slab.shape)
-        reduced = _replay_reduce(engine, slab, plan, self.sat)
+        reduced = _replay_reduce(engine, slab, plan, self.sat, bound)
         return engine._emit(reduced, self.resident)
 
 
@@ -1870,11 +1982,16 @@ class _BWeightedSumStep:
                 self.bufs,
             )
             return engine._emit(reduced, self.resident)
-        products = w[:, :, np.newaxis] * pts[np.newaxis, :, :]
-        q = _trusted_encode(engine, products, w, abs_max, strict)
+        a = w[:, :, np.newaxis]
+        b = pts[np.newaxis, :, :]
+        q, bound = _encode_product_inrange(
+            engine, self, a, b, abs_max, w, self.n
+        )
+        if q is None:
+            q = _trusted_encode(engine, a * b, w, abs_max, strict)
         slab = np.moveaxis(q, 1, 0)
         plan = _get_plan(engine, slab.shape)
-        reduced = _replay_reduce(engine, slab, plan, self.sat)
+        reduced = _replay_reduce(engine, slab, plan, self.sat, bound)
         return engine._emit(reduced, self.resident)
 
 
@@ -2017,7 +2134,7 @@ def _finalize_batched(recorder, engine, slots, lanes) -> IterationProgram:
     return IterationProgram(steps, chains, tails)
 
 
-class BatchedProgramEngine(BatchedEngine):
+class BatchedProgramEngine(_FallbackLog, BatchedEngine):
     """A :class:`~repro.arith.engine.BatchedEngine` with lane-group
     iteration-program capture/replay.
 
@@ -2052,6 +2169,7 @@ class BatchedProgramEngine(BatchedEngine):
         self.program_replays = 0
         self.program_bailouts = 0
         self._program_unsupported = False
+        self._init_fallbacks()
 
     # ------------------------------------------------------------------
     # Lifecycle (called by the framework's batched loop, per mode group)
@@ -2062,6 +2180,7 @@ class BatchedProgramEngine(BatchedEngine):
         Returns ``"replay"`` / ``"record"`` / ``"off"`` exactly as
         :meth:`ProgramEngine.begin_iteration` does.
         """
+        self._fallbacks = []
         if not self.fast_path or self._program_unsupported:
             self._pstate = _IDLE
             return "off"
@@ -2106,12 +2225,13 @@ class BatchedProgramEngine(BatchedEngine):
                     self.program = _finalize_batched(
                         recorder, self, self._slots, self._capture_lanes
                     )
-                except Exception:
+                except Exception as exc:
                     # Structure the batched compiler cannot express:
                     # stay interpreted for good rather than re-fail
                     # every iteration.
                     self.program = None
                     self._program_unsupported = True
+                    self._program_fallback("capture_unsupported", exc)
                 else:
                     self.program_captures += 1
                     execution = "captured"
@@ -2295,6 +2415,7 @@ class BatchedProgramEngine(BatchedEngine):
         stats["program_replays"] = self.program_replays
         stats["program_bailouts"] = self.program_bailouts
         stats["program_cached"] = int(self.program is not None)
+        stats.update(self._fallback_stats())
         return stats
 
 

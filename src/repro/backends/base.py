@@ -36,6 +36,10 @@ try:  # SciPy is a declared dependency, but the kernels keep a pure-
 except ImportError:  # pragma: no cover - exercised only without scipy
     _scipy_sparse = None
 
+from repro.hardware import bitops
+from repro.hardware.adders.loa import LowerOrAdder
+from repro.hardware.adders.truncated import TruncatedAdder
+
 #: Environment variable consulted when no backend is named explicitly.
 BACKEND_ENV = "REPRO_BACKEND"
 
@@ -52,7 +56,7 @@ class KernelBackend:
     overrides the kernels it specializes and inherits reference
     behavior (and hence bit-exactness) everywhere else.
 
-    Two method groups:
+    Three method groups:
 
     * **primitive dispatch** (:meth:`add_signed`, :meth:`add_unsigned`,
       :meth:`encode`, :meth:`decode`) — always-correct entry points the
@@ -64,7 +68,11 @@ class KernelBackend:
       representable range (exact adder, saturating format, interval
       proof), where the masked/clipped reference computation provably
       collapses to plain integer arithmetic.  Implementations must be
-      bit-identical to the reference under those preconditions.
+      bit-identical to the reference under those preconditions;
+    * **closed-form tree reduce** (:meth:`reduce_tree`) — the whole
+      balanced-tree fold through a LOA or truncation adder in one pass
+      of integer reductions, called by every fast reduce site once the
+      caller has proved no saturating add can clamp.
 
     Attributes:
         name: registry key (also the value carried in content-address
@@ -118,6 +126,71 @@ class KernelBackend:
         stays in range: in-range exact integer addition is associative,
         so a flat fold is bit-identical to the balanced tree."""
         return np.add.reduce(q, axis=axis)
+
+    def has_closed_reduce(self, adder) -> bool:
+        """Whether :meth:`reduce_tree` has a closed form for ``adder``
+        (a plain LOA or truncation adder with approximate bits)."""
+        kind = type(adder)
+        return (kind is LowerOrAdder or kind is TruncatedAdder) and not adder.is_exact
+
+    def reduce_tree(self, adder, q: np.ndarray, plan) -> np.ndarray | None:
+        """Closed-form balanced-tree reduce of axis 0 through ``adder``.
+
+        Returns the words the level-by-level fold of ``q`` (``n >= 2``
+        signed ``width``-bit words per lane) through ``adder`` produces
+        under *wrap* semantics, or ``None`` when the adder has no closed
+        form.  Dispatch is on the exact type: a :class:`LowerOrAdder`
+        or :class:`TruncatedAdder` subclass (or wrapper) may change the
+        per-add semantics, so only the two plain models qualify.  The
+        caller proves a saturating output stage never clamps (see
+        :func:`repro.arith.engine.closed_reduce`) and that the sums
+        below fit ``int64`` (``n << (width - k) < 2**63``).
+
+        With ``u`` the unsigned word and ``k = approx_bits``:
+
+        * **LOA** — the low ``k`` bits of every node are the OR of its
+          children's, so the root's are the OR-reduce of the leaves'.
+          The upper ``width - k`` bits add exactly plus one carry per
+          internal node whose two subtrees both have bit ``k - 1`` set.
+          Writing ``a & b == a + b - (a | b)`` per node and summing over
+          the tree telescopes (every non-root node is the child of
+          exactly one internal node) to ``s - OR(root)``: ``s`` leaves
+          carry bit ``k - 1`` and the count is ``max(s - 1, 0)``,
+          whatever the split and odd-tail geometry.  The root's upper
+          part is ``(sum(u >> k) + max(s - 1, 0)) mod 2**(width - k)``.
+        * **Truncation** — ``sum(u >> k) mod 2**(width - k)`` shifted
+          back, with the fill bits below.
+
+        Modular addition is associative, so the tree geometry enters
+        neither form; ``plan`` (the shape's cached
+        :class:`~repro.arith.engine.ReductionPlan`) only lends its
+        scratch buffer, so the hot loop allocates the reduced output
+        alone.  The signed arithmetic shift stands in for ``u >> k``:
+        ``q >> k`` and ``u >> k`` differ by a multiple of
+        ``2**(width - k)``.  Exhaustive width-8 agreement with the
+        bit-serial references is pinned by
+        ``tests/hardware/test_closed_reduce.py``.
+        """
+        if not self.has_closed_reduce(adder):
+            return None
+        k = adder.approx_bits
+        width = adder.width
+        scratch = plan.scratch_like(q)
+        upper_mask = np.int64((1 << (width - k)) - 1)
+        if type(adder) is LowerOrAdder:
+            # (q >> k) + bit_{k-1}(q) == (q + 2**(k-1)) >> k, so the
+            # leaves' upper parts plus s is one rounded sum; the root's
+            # bit k-1 (its OR-reduce) is the carry the tree never adds.
+            np.add(q, np.int64(1 << (k - 1)), out=scratch)
+            np.right_shift(scratch, k, out=scratch)
+            low = np.bitwise_or.reduce(q, axis=0) & np.int64((1 << k) - 1)
+            upper = np.add.reduce(scratch, axis=0) - (low >> (k - 1))
+        else:
+            np.right_shift(q, k, out=scratch)
+            upper = np.add.reduce(scratch, axis=0)
+            low = np.int64((1 << k) - 1 if adder.fill == "one" else 0)
+        words = ((upper & upper_mask) << k) | low
+        return bitops.to_signed(words, width)
 
     def product_reduce_words(
         self,

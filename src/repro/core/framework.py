@@ -61,6 +61,22 @@ from repro.solvers.base import IterationState, IterativeMethod
 from repro.solvers.batched import batched_kernels_for
 
 
+def _emit_fallbacks(engine, observer, iteration, mode_name, extra=None):
+    """Take the program engine's queued fallbacks (speculation aborts,
+    unsupported captures) and emit each as one ``program_fallback``
+    event plus a ``program.fallbacks.<reason>`` counter."""
+    fallbacks = engine.take_fallbacks()
+    if observer is None:
+        return
+    for detail in fallbacks:
+        observer.metrics.inc(f"program.fallbacks.{detail['reason']}")
+        if extra:
+            detail = {**detail, **extra}
+        observer.record(
+            TraceEvent("program_fallback", iteration, mode_name, detail)
+        )
+
+
 @dataclass
 class RunResult:
     """Outcome of one framework run.
@@ -479,6 +495,7 @@ class ApproxIt:
                                 {"reason": bail_reason},
                             )
                         )
+                _emit_fallbacks(engine, observer, executed, mode.name)
             grad_new = (
                 self.method.gradient(x_new) if policy.needs_gradient else None
             )
@@ -919,6 +936,13 @@ class ApproxIt:
                                         },
                                     )
                                 )
+                    _emit_fallbacks(
+                        engine,
+                        observer,
+                        executed[group[0]],
+                        mode_name,
+                        {"lanes": len(group)},
+                    )
 
                 for row, i in enumerate(group):
                     x_new = method.postprocess(X_new[row].copy())

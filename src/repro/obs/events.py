@@ -52,6 +52,15 @@ Event kinds
     ``structure`` / ``shorter-iteration`` (op sequence changed),
     ``shape`` / ``operand`` (an operand changed shape or kind), or
     ``saturation`` (an add left the recorded saturation envelope).
+``program_fallback``
+    The capture/replay layer recovered from a raised failure instead of
+    propagating it: ``detail["reason"]`` is ``speculation_abort`` (a
+    chain tail raised while replaying ahead of its dispatch; it replays
+    normally at its own dispatch) or ``capture_unsupported`` (the
+    program compiler could not express the recorded iteration; the
+    engine stays interpreted for the rest of the run).
+    ``detail["error"]`` names the exception type.  Batched runs add
+    ``detail["lanes"]``, the lane-group size.
 """
 
 from __future__ import annotations
@@ -70,6 +79,7 @@ EVENT_KINDS = frozenset(
         "lut_refresh",
         "program_capture",
         "program_bailout",
+        "program_fallback",
     }
 )
 

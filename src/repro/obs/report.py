@@ -61,6 +61,9 @@ class TraceSummary:
             (``run_batch``) trace — each lane of a bailing lane-group
             contributes one (its ``program_bailout`` event carries the
             group size in ``detail["lanes"]``).  Zero on solo traces.
+        program_fallbacks: recovered capture/replay failures by reason
+            (``program_fallback`` events: ``speculation_abort``,
+            ``capture_unsupported``).
     """
 
     iterations: int = 0
@@ -76,6 +79,7 @@ class TraceSummary:
     program_replays: int = 0
     program_bailouts: int = 0
     program_lane_bailouts: int = 0
+    program_fallbacks: dict[str, int] = field(default_factory=dict)
 
 
 def summarize_trace(
@@ -124,6 +128,11 @@ def summarize_trace(
             summary.program_bailouts += 1
             if "lanes" in event.detail:
                 summary.program_lane_bailouts += 1
+        elif event.kind == "program_fallback":
+            reason = str(event.detail.get("reason", "?"))
+            summary.program_fallbacks[reason] = (
+                summary.program_fallbacks.get(reason, 0) + 1
+            )
     return summary
 
 

@@ -17,6 +17,7 @@ class TestTraceEvent:
             "lut_refresh",
             "program_capture",
             "program_bailout",
+            "program_fallback",
         }
 
     def test_unknown_kind_rejected(self):
