@@ -42,9 +42,11 @@ finishes interpreted and the next one re-records):
   ``"shorter-iteration"``);
 * an add whose recorded saturation precheck said "in range" now
   overflowing (``"saturation"``);
-* mode reconfigurations and function-scheme rollbacks invalidate
-  programs up front (driven by :class:`~repro.core.framework.ApproxIt`),
-  so the retried/reconfigured iteration re-records.
+* function-scheme rollbacks invalidate every engine's program up front
+  (driven by :class:`~repro.core.framework.ApproxIt`), so the retried
+  iteration re-records.  Mode reconfigurations do not: each mode's
+  engine keeps its own program, and switching back into a mode replays
+  it under the checks above.
 
 The interpreted path stays byte-for-byte untouched as the regression
 oracle: a ``ProgramEngine`` with capture off (or ``fast_path=False``)
@@ -1390,7 +1392,7 @@ class ProgramEngine(_FallbackLog, ApproxEngine):
             self._slots[name] = value
 
     def invalidate_program(self) -> None:
-        """Drop the cached program (mode reconfiguration, rollback)."""
+        """Drop the cached program (rollback re-record)."""
         self.program = None
 
     def end_iteration(self) -> tuple[str, str | None]:

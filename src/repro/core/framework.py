@@ -434,11 +434,10 @@ class ApproxIt:
             last_mode_name = mode.name
             engine = engines[mode.name]
             if capture:
-                # A reconfiguration is a structure-divergence point: the
-                # switched-to engine re-records rather than trusting a
-                # program captured under a different control regime.
-                if switched:
-                    engine.invalidate_program()
+                # Each mode's engine keeps its own program, so switching
+                # back into a mode replays it: the compiled steps check
+                # shapes, operands and saturation and bail out when one
+                # no longer holds.  Only rollbacks invalidate programs.
                 slots = {"x": x}
                 slots.update(self.method.replay_operands(x))
                 engine.begin_iteration(slots)

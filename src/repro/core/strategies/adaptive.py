@@ -19,9 +19,18 @@ subject to an error budget::
 
 with ``J`` the characterized per-iteration energies, ``eps`` the
 characterized quality errors and ``E = |f(x¹) − f(x⁰)|`` (relative form,
-see :func:`relative_budget`).  The LP is solved with ``scipy``'s HiGHS
-solver, with a closed-form two-mode greedy fallback (the LP has one
-coupling constraint, so an optimal vertex mixes at most two modes).
+see :func:`relative_budget`).  The LP is solved exactly in closed form
+(:func:`solve_energy_lp`): every mode keeps its floor ``omega_min``, and
+the free mass ``F = 1 − n·omega_min`` must reach a mean error of at most
+``t = (E − omega_min·sum(eps)) / F``.  The cheapest such mix is the
+lower convex envelope of the points ``(eps_i, J_i)`` at ``t``: all free
+mass on the cheapest mode when its error is within ``t``, otherwise a
+linear split between the two envelope vertices bracketing ``t`` — so at
+most two modes rise above the floor.  At equal ``eps`` the cheaper mode
+is kept; envelope points that are not strictly cheaper than their
+predecessor, or that sit on a line between their neighbours, are
+dropped.  A budget below the all-accurate floor puts the free mass on
+the least-error mode.
 
 **Online f-step update.**  Every ``update_period`` iterations the budget
 is refreshed to the latest observed decrease and the LP re-solved —
@@ -46,7 +55,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.arith.modes import ApproxMode, ModeBank
 from repro.core.characterize import CharacterizationTable
@@ -78,7 +86,7 @@ def solve_energy_lp(
     budget: float,
     min_weight: float = 1e-3,
 ) -> np.ndarray:
-    """Solve the Eq.-5 allocation problem.
+    """Solve the Eq.-5 allocation problem in closed form.
 
     Args:
         energies: per-mode energy cost ``J`` (ladder order).
@@ -93,93 +101,59 @@ def solve_energy_lp(
         allocation is returned — the strategy then leans maximally on
         accurate hardware.
     """
-    energies = np.asarray(energies, dtype=np.float64)
-    epsilons = np.asarray(epsilons, dtype=np.float64)
-    n = energies.shape[0]
-    if epsilons.shape[0] != n:
-        raise ValueError(f"J and eps lengths differ: {n} vs {epsilons.shape[0]}")
+    J = np.asarray(energies, dtype=np.float64).tolist()
+    eps = np.asarray(epsilons, dtype=np.float64).tolist()
+    n = len(J)
+    if len(eps) != n:
+        raise ValueError(f"J and eps lengths differ: {n} vs {len(eps)}")
+    if not all(map(math.isfinite, [*J, *eps, budget])):
+        raise ValueError(
+            f"J, eps and budget must be finite, got J={J}, eps={eps}, budget={budget}"
+        )
     if n * min_weight >= 1.0:
         raise ValueError(f"min_weight {min_weight} infeasible for {n} modes")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
 
-    floor_error = float(epsilons @ np.full(n, min_weight)) + (
-        1 - n * min_weight
-    ) * float(epsilons.min())
-    if budget < floor_error:
+    omega = [min_weight] * n
+    free = 1 - n * min_weight
+    floor_mass = min_weight * sum(eps)
+    eps_min = min(eps)
+    if budget < floor_mass + free * eps_min:
         # Infeasible: put all free mass on the least-error mode.
-        omega = np.full(n, min_weight)
-        omega[int(np.argmin(epsilons))] += 1 - n * min_weight
-        return omega
+        omega[eps.index(eps_min)] += free
+        return np.array(omega)
 
-    result = linprog(
-        c=energies,
-        A_ub=epsilons[np.newaxis, :],
-        b_ub=[budget],
-        A_eq=np.ones((1, n)),
-        b_eq=[1.0],
-        bounds=[(min_weight, 1.0)] * n,
-        method="highs",
-    )
-    if result.success:
-        omega = np.maximum(result.x, min_weight)
-        return omega / omega.sum()
-    return _greedy_allocation(energies, epsilons, budget, min_weight)
-
-
-def _greedy_allocation(
-    energies: np.ndarray,
-    epsilons: np.ndarray,
-    budget: float,
-    min_weight: float,
-) -> np.ndarray:
-    """Closed-form fallback for the Eq.-5 LP.
-
-    With a single coupling constraint over the simplex, an optimal
-    vertex assigns the free mass to at most two modes, so enumerating
-    all feasible pairs (and pure allocations) and keeping the cheapest
-    is exact.
-    """
-    n = energies.shape[0]
-    floor = np.full(n, min_weight)
-    free = 1.0 - n * min_weight
-    remaining = budget - float(epsilons @ floor)
-
-    best_omega = None
-    best_cost = np.inf
-
-    def consider(omega: np.ndarray) -> None:
-        nonlocal best_omega, best_cost
-        if float(omega @ epsilons) <= budget + 1e-15:
-            cost = float(omega @ energies)
-            if cost < best_cost:
-                best_cost = cost
-                best_omega = omega
-
-    for i in range(n):
-        pure = floor.copy()
-        pure[i] += free
-        consider(pure)
-        for j in range(n):
-            if i == j:
-                continue
-            denom = epsilons[i] - epsilons[j]
-            if denom == 0:
-                continue
-            # share_i * eps_i + (free - share_i) * eps_j = remaining
-            share = (remaining - epsilons[j] * free) / denom
-            if 0 <= share <= free:
-                mixed = floor.copy()
-                mixed[i] += share
-                mixed[j] += free - share
-                consider(mixed)
-
-    if best_omega is None:
-        # Nothing feasible: lean fully on the least-error mode.
-        omega = floor.copy()
-        omega[int(np.argmin(epsilons))] += free
-        return omega
-    return best_omega
+    # The cheapest free-mass mix with mean error <= target lies on the
+    # lower convex envelope of the (eps, J) points.  Walk its strictly
+    # decreasing part by ascending (eps, J), so that at equal eps the
+    # cheaper mode is kept; points no cheaper than the last vertex and
+    # vertices on or above the line through their neighbours are dropped.
+    hull: list[tuple[float, float, int]] = []
+    for point in sorted(zip(eps, J, range(n))):
+        if hull and point[1] >= hull[-1][1]:
+            continue
+        while len(hull) >= 2:
+            (ea, ja, _), (eb, jb, _) = hull[-2], hull[-1]
+            if (jb - ja) * (point[0] - ea) < (point[1] - ja) * (eb - ea):
+                break
+            hull.pop()
+        hull.append(point)
+    # Split the free mass between the two vertices bracketing target, or
+    # give it all to the cheapest mode when its error is within target.
+    # The clamp absorbs rounding that puts a budget at the floor a hair
+    # below eps_min.
+    target = max((budget - floor_mass) / free, eps_min)
+    lo = hull[0]
+    for hi in hull[1:]:
+        if hi[0] > target:
+            share = (target - lo[0]) / (hi[0] - lo[0])
+            omega[hi[2]] += free * share
+            omega[lo[2]] += free * (1 - share)
+            return np.array(omega)
+        lo = hi
+    omega[lo[2]] += free
+    return np.array(omega)
 
 
 @dataclass

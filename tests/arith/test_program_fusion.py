@@ -54,7 +54,8 @@ def test_jacobi_exact_mode_fused_replay_matches_interpreted(backend_name):
 @pytest.mark.parametrize("backend_name", BACKENDS)
 def test_jacobi_adaptive_fused_replay_matches_interpreted(backend_name):
     """The adaptive strategy crosses approximate modes (where the fused
-    proofs must *decline*) and mode switches (where programs re-record);
+    proofs must *decline*) and mode switches (where each mode replays
+    its own program);
     parity must hold across every transition."""
     framework = _jacobi(backend=backend_name)
     fused = framework.run(strategy="adaptive")

@@ -10,8 +10,8 @@ every assertion here compares a default captured run against it.
 Coverage crosses every solver family and both apps-style workloads with
 the online strategies, and includes the divergence paths the executor
 must bail out of: a natural function-scheme rollback (which invalidates
-every cached program) and mode reconfigurations (which switch to a
-per-mode program or a fresh capture).
+every cached program) and mode reconfigurations (which replay the
+switched-to mode's own program, or capture one on its first visit).
 """
 
 import numpy as np
@@ -258,6 +258,21 @@ def test_replays_actually_happen():
         summary.program_captures + summary.program_replays
         <= summary.executed_iterations
     )
+
+
+def test_adaptive_mode_revisits_replay_their_programs():
+    """A mode switch does not drop the switched-to mode's program: the
+    angle LUT bounces between modes, each revisit replays the program
+    that mode captured earlier, and the run stays bit-identical to the
+    interpreted oracle."""
+    recorder = TraceRecorder(label="revisit")
+    captured, _ = assert_captured_matches_interpreted(
+        _gd_rosenbrock(), "adaptive", observer=recorder
+    )
+    summary = summarize_trace(recorder.events)
+    revisits = captured.mode_switches - (len(set(captured.mode_trace)) - 1)
+    assert revisits > 0, "workload must switch back into earlier modes"
+    assert summary.program_captures < captured.mode_switches
 
 
 class TestRollbackReRecord:
